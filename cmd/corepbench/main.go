@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -208,17 +209,9 @@ func run() int {
 			}
 		}
 		fmt.Printf("  best speedup: %.2fx\n", bench.BestSpeedup)
-		f, err := os.Create(*prefetchOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prefetch: %v\n", err)
+		if !writeBench("prefetch", *prefetchOut, bench) {
 			return 1
 		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "prefetch: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *prefetchOut)
 		if bad {
 			return 1
 		}
@@ -262,17 +255,9 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "planner: VIOLATION %v\n", err)
 			bad = true
 		}
-		f, err := os.Create(*plannerOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "planner: %v\n", err)
+		if !writeBench("planner", *plannerOut, sweep) {
 			return 1
 		}
-		defer f.Close()
-		if err := sweep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "planner: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *plannerOut)
 		if bad {
 			return 1
 		}
@@ -310,17 +295,9 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "reclust: VIOLATION %v\n", err)
 			bad = true
 		}
-		f, err := os.Create(*reclustOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reclust: %v\n", err)
+		if !writeBench("reclust", *reclustOut, sweep) {
 			return 1
 		}
-		defer f.Close()
-		if err := sweep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "reclust: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *reclustOut)
 		if bad {
 			return 1
 		}
@@ -357,21 +334,9 @@ func run() int {
 				s.Strategy, s.BaselineReads, rows, injected, retries, recovered, degraded, cleanErrs)
 		}
 		viol := bench.AllViolations()
-		for _, v := range viol {
-			fmt.Fprintf(os.Stderr, "chaos: VIOLATION %s\n", v)
-		}
-		fmt.Printf("  %d violation(s) in %s\n", len(viol), time.Since(start).Round(time.Millisecond))
-		f, err := os.Create(*chaosOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+		if !reportSweep("chaos", viol, start, *chaosOut, bench) {
 			return 1
 		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *chaosOut)
 		if *chaosUpdaters > 0 {
 			cfg.ConcurrentUpdaters = *chaosUpdaters
 			fmt.Printf("running txn atomicity hammer (%d updaters × %d rounds)...\n", *chaosUpdaters, cfg.Ops)
@@ -410,39 +375,19 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "crash: %v\n", err)
 			return 1
 		}
-		for _, s := range bench.Strategies {
-			var acked, replayed, discarded, rollbacks, midCommit, cleanErrs, rows int
-			for _, r := range s.Runs {
-				acked += r.Acked
-				replayed += r.ReplayedCommits
-				discarded += r.DiscardedRecords
-				rollbacks += r.Rollbacks
-				cleanErrs += r.CleanErrors
-				rows += r.RowsCompared
+		for i, c := range bench.Cells() {
+			midCommit := 0
+			for _, r := range bench.Strategies[i].Runs {
 				if r.MidCommit {
 					midCommit++
 				}
 			}
-			fmt.Printf("  %-16s acked=%-5d replayed=%-5d discarded=%-4d mid_commit=%-3d rollbacks=%-3d clean_errors=%-3d rows_checked=%d\n",
-				s.Strategy, acked, replayed, discarded, midCommit, rollbacks, cleanErrs, rows)
+			m := c.Metrics
+			fmt.Printf("  %-16s acked=%-5.0f replayed=%-5.0f discarded=%-4.0f mid_commit=%-3d rollbacks=%-3.0f clean_errors=%-3.0f rows_checked=%.0f\n",
+				c.Name, m["acked_commits"], m["replayed_commits"], m["discarded_records"], midCommit, m["rollbacks"], m["clean_errors"], m["rows_compared"])
 		}
 		viol := bench.AllViolations()
-		for _, v := range viol {
-			fmt.Fprintf(os.Stderr, "crash: VIOLATION %s\n", v)
-		}
-		fmt.Printf("  %d violation(s) in %s\n", len(viol), time.Since(start).Round(time.Millisecond))
-		f, err := os.Create(*crashOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crash: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "crash: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *crashOut)
-		if len(viol) > 0 {
+		if !reportSweep("crash", viol, start, *crashOut, bench) || len(viol) > 0 {
 			return 1
 		}
 		return 0
@@ -469,17 +414,9 @@ func run() int {
 			fmt.Printf("  c%-3d b%-2d commits=%-5d fsyncs=%-5d fsyncs/commit=%-6.3f group=%-6.2f max_group=%-3d commit_qps=%.0f\n",
 				c.Clients, c.Batch, c.Commits, c.Fsyncs, c.FsyncsPerCommit, c.GroupSize, c.MaxGroup, c.CommitQPS)
 		}
-		f, err := os.Create(*walOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wal: %v\n", err)
+		if !writeBench("wal", *walOut, sweep) {
 			return 1
 		}
-		defer f.Close()
-		if err := sweep.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "wal: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *walOut)
 		if err := sweep.CheckGrouping(); err != nil {
 			fmt.Fprintf(os.Stderr, "wal: group commit not amortizing: %v\n", err)
 			return 1
@@ -534,17 +471,9 @@ func run() int {
 				pt.Theta, pt.PrUpdate, pt.Clients, pt.Versioned.QPS, pt.Latched.QPS, ratio,
 				pt.Versioned.RetrieveQPS, pt.Versioned.UpdateQPS, pt.Versioned.Txn.Waited)
 		}
-		f, err := os.Create(*txnOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "txn: %v\n", err)
+		if !writeBench("txn", *txnOut, bench) {
 			return 1
 		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "txn: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *txnOut)
 		return 0
 	}
 
@@ -586,17 +515,9 @@ func run() int {
 			fmt.Printf("  slow[%d] %-14s client=%d dur=%-12s io=%d over_slo=%v\n",
 				i, q.Name, q.Client, q.Duration, q.IO(), q.OverSLO)
 		}
-		f, err := os.Create(*sloOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "slo: %v\n", err)
+		if !writeBench("slo", *sloOut, bench) {
 			return 1
 		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "slo: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *sloOut)
 		if !bench.Result.SLOMet {
 			fmt.Fprintf(os.Stderr, "slo: objective missed (%d ops at or over %s)\n",
 				bench.Result.SLOViolations, *sloThreshold)
@@ -645,17 +566,9 @@ func run() int {
 		for k, s := range bench.Speedup {
 			fmt.Printf("  speedup %s: %.2fx\n", k, s)
 		}
-		f, err := os.Create(*throughputOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
+		if !writeBench("throughput", *throughputOut, bench) {
 			return 1
 		}
-		defer f.Close()
-		if err := bench.WriteJSON(f); err != nil {
-			fmt.Fprintf(os.Stderr, "throughput: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", *throughputOut)
 		return 0
 	}
 
@@ -800,4 +713,33 @@ func startWatch(interval time.Duration, reg *atomic.Pointer[obs.Registry]) func(
 		}
 	}()
 	return func() { close(done); wg.Wait() }
+}
+
+// reportSweep prints a chaos or crash sweep's violations and their
+// count, then writes the sweep's envelope to path. It reports whether
+// the write succeeded.
+func reportSweep(name string, viol []harness.Violation, start time.Time, path string, env interface{ WriteJSON(io.Writer) error }) bool {
+	for _, v := range viol {
+		fmt.Fprintf(os.Stderr, "%s: VIOLATION %s\n", name, v)
+	}
+	fmt.Printf("  %d violation(s) in %s\n", len(viol), time.Since(start).Round(time.Millisecond))
+	return writeBench(name, path, env)
+}
+
+// writeBench writes a benchmark's envelope to path and reports whether
+// it succeeded; a failure is printed under name.
+func writeBench(name, path string, env interface{ WriteJSON(io.Writer) error }) bool {
+	f, err := os.Create(path)
+	if err == nil {
+		err = env.WriteJSON(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		return false
+	}
+	fmt.Printf("wrote %s\n", path)
+	return true
 }

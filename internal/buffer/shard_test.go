@@ -162,23 +162,39 @@ func TestShardedConcurrentPins(t *testing.T) {
 	// Hammer a sharded pool from many goroutines; under -race this is the
 	// pool's thread-safety proof, without it still checks contents survive
 	// concurrent eviction. Writers stay on goroutine-private pages so page
-	// contents are deterministic.
+	// contents are deterministic. A pin into a shard whose frames are all
+	// pinned fails by contract, so each goroutine stays on one shard's
+	// pages and each shard gets as many goroutines as it has frames: two
+	// goroutines contend in every 2-frame shard, never holding more pins
+	// than it has frames.
 	d := disk.NewSim()
-	p, err := NewSharded(d, 16, LRU, 8)
+	const capacity, shards, workers, ops = 16, 8, 16, 300
+	p, err := NewSharded(d, capacity, LRU, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const pages = 64
 	ids := mkPages(t, d, pages)
+	byShard := make(map[*shard][]int)
+	for i, id := range ids {
+		sh := p.shardFor(id)
+		byShard[sh] = append(byShard[sh], i)
+	}
+	for i, sh := range p.shards {
+		if len(byShard[sh]) <= sh.cap {
+			t.Fatalf("shard %d holds %d pages, not more than its %d frames: no eviction", i, len(byShard[sh]), sh.cap)
+		}
+	}
 	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+	errc := make(chan error, workers)
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			mine := byShard[p.shards[g%shards]]
 			rng := rand.New(rand.NewSource(int64(g)))
-			for n := 0; n < 300; n++ {
-				i := rng.Intn(pages)
+			for n := 0; n < ops; n++ {
+				i := mine[rng.Intn(len(mine))]
 				buf, err := p.Pin(ids[i])
 				if err != nil {
 					errc <- fmt.Errorf("goroutine %d: %w", g, err)
@@ -199,8 +215,14 @@ func TestShardedConcurrentPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.Stats()
-	if s.Hits+s.Misses != 8*300 {
-		t.Fatalf("hits %d + misses %d != %d", s.Hits, s.Misses, 8*300)
+	if s.Hits+s.Misses != workers*ops {
+		t.Fatalf("hits %d + misses %d != %d", s.Hits, s.Misses, workers*ops)
+	}
+	if s.Misses <= capacity {
+		t.Fatalf("misses %d <= capacity %d: the pool never evicted", s.Misses, capacity)
+	}
+	if n := p.PinnedCount(); n != 0 {
+		t.Fatalf("%d pages still pinned", n)
 	}
 }
 

@@ -65,7 +65,9 @@ type ChaosConfig struct {
 // 50-schedule run finishes in seconds: a small database, a mixed
 // workload, and fault rates that fire a handful of times per schedule.
 // Batched probes and the prefetcher are enabled — the concurrent code
-// paths are exactly what fault coverage is for.
+// paths are exactly what fault coverage is for. The prefetcher's worker
+// timing makes page-read counts (baseline_reads) wander by a read or two
+// between identical runs; with it off, two runs agree exactly.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
 		DB: workload.Config{
@@ -91,19 +93,6 @@ func DefaultChaosConfig() ChaosConfig {
 	}
 }
 
-// ChaosViolation is one broken resilience guarantee.
-type ChaosViolation struct {
-	Strategy string `json:"strategy"`
-	Seed     int64  `json:"fault_seed"`
-	OpIndex  int    `json:"op_index"`
-	Kind     string `json:"kind"` // panic | wrong-rows | unattributed-error | pin-leak | staged-leak | cache-invariant | deadlock
-	Detail   string `json:"detail"`
-}
-
-func (v ChaosViolation) String() string {
-	return fmt.Sprintf("%s seed=%d op=%d %s: %s", v.Strategy, v.Seed, v.OpIndex, v.Kind, v.Detail)
-}
-
 // ChaosRun is the outcome of one schedule (one strategy, one seed).
 type ChaosRun struct {
 	Seed          int64 `json:"fault_seed"`
@@ -112,17 +101,20 @@ type ChaosRun struct {
 	FailedUpdates int   `json:"failed_updates"`
 	RowsCompared  int   `json:"rows_compared"` // retrieves checked against the baseline
 
-	Faults        disk.FaultStats  `json:"faults"`
-	Retries       int64            `json:"buffer_retries"`
-	Recovered     int64            `json:"buffer_recovered"`
-	CacheDegraded int64            `json:"cache_degraded"`
-	CacheOrphans  int64            `json:"cache_orphans"`
-	PrefetchErrs  int64            `json:"prefetch_fetch_errors"`
-	Violations    []ChaosViolation `json:"violations,omitempty"`
+	Faults        disk.FaultStats `json:"faults"`
+	Retries       int64           `json:"buffer_retries"`
+	Recovered     int64           `json:"buffer_recovered"`
+	CacheDegraded int64           `json:"cache_degraded"`
+	CacheOrphans  int64           `json:"cache_orphans"`
+	PrefetchErrs  int64           `json:"prefetch_fetch_errors"`
+	Violations    []Violation     `json:"violations,omitempty"`
 
 	// SlowQueries is the schedule's tail sample (ChaosConfig.SlowLogSize
 	// slowest operations, exact span trees, fault-plan attr deltas).
 	SlowQueries []obs.SlowEntry `json:"slow_queries,omitempty"`
+
+	rows  [][]int64 // a baseline's sorted retrieve rows, by op index
+	reads int64     // page reads of the measured phase
 }
 
 // ChaosStrategy aggregates one strategy's schedules.
@@ -145,223 +137,121 @@ type ChaosBench struct {
 	Violations int                  `json:"violations"`
 }
 
+// schedules lists the strategy's runs, control first.
+func (s *ChaosStrategy) schedules() []*ChaosRun {
+	if s.Control == nil {
+		return s.Runs
+	}
+	return append([]*ChaosRun{s.Control}, s.Runs...)
+}
+
 // Cells flattens the sweep into one envelope cell per strategy.
-// Violations and baseline reads are deterministic (seeded schedules) and
-// gate; clean-error/retry counts legitimately wander with the fault mix
-// and stay informational.
+// Violations and baseline reads gate. Seeded schedules fix both, but
+// under DefaultChaosConfig the prefetcher's timing moves baseline reads
+// by a read or two between runs, well inside the gate's tolerance;
+// clean-error/retry counts legitimately wander with the fault mix and
+// stay informational.
 func (b *ChaosBench) Cells() []bench.Cell {
 	var cells []bench.Cell
 	for _, s := range b.Strategies {
-		var viol, cleanErrs, opsOK int
-		var retries, recovered int64
-		runs := s.Runs
-		if s.Control != nil {
-			runs = append([]*ChaosRun{s.Control}, runs...)
-		}
-		for _, r := range runs {
-			viol += len(r.Violations)
-			cleanErrs += r.CleanErrors
-			opsOK += r.OpsOK
-			retries += r.Retries
-			recovered += r.Recovered
-		}
-		cells = append(cells, bench.Cell{Name: s.Strategy, Metrics: map[string]float64{
-			"violations":     float64(viol),
-			"baseline_reads": float64(s.BaselineReads),
-			"clean_errors":   float64(cleanErrs),
-			"ops_ok":         float64(opsOK),
-			"retries":        float64(retries),
-			"recovered":      float64(recovered),
-		}})
+		c := sumCell(s.Strategy, s.schedules(), func(r *ChaosRun) map[string]float64 {
+			return map[string]float64{
+				"violations":   float64(len(r.Violations)),
+				"clean_errors": float64(r.CleanErrors),
+				"ops_ok":       float64(r.OpsOK),
+				"retries":      float64(r.Retries),
+				"recovered":    float64(r.Recovered),
+			}
+		})
+		c.Metrics["baseline_reads"] = float64(s.BaselineReads)
+		cells = append(cells, c)
 	}
 	return cells
 }
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
-func (b *ChaosBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("chaos", b, b.Cells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
-}
+func (b *ChaosBench) WriteJSON(w io.Writer) error { return writeEnvelope(w, "chaos", b, b.Cells()) }
 
 // AllViolations flattens every recorded violation.
-func (b *ChaosBench) AllViolations() []ChaosViolation {
-	var out []ChaosViolation
+func (b *ChaosBench) AllViolations() []Violation {
+	var out []Violation
 	for _, s := range b.Strategies {
-		if s.Control != nil {
-			out = append(out, s.Control.Violations...)
-		}
-		for _, r := range s.Runs {
+		for _, r := range s.schedules() {
 			out = append(out, r.Violations...)
 		}
 	}
 	return out
 }
 
-// baselineRow is the fault-free answer of one retrieve, order-insensitive.
-type baselineRow []int64
-
 // RunChaos executes the sweep. The returned error covers harness-level
 // failures only (a baseline that cannot even build); resilience
 // failures are returned as violations in the bench.
 func RunChaos(cfg ChaosConfig) (*ChaosBench, error) {
-	if len(cfg.Strategies) == 0 {
-		cfg.Strategies = strategy.AllKinds
-	}
-	if cfg.Schedules < 1 {
-		cfg.Schedules = 1
-	}
-	if cfg.Ops < 1 {
-		cfg.Ops = 20
-	}
-	if cfg.NumTop < 1 {
-		cfg.NumTop = 8
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 120 * time.Second
-	}
-	bench := &ChaosBench{
+	sw := newSweep(cfg.Strategies, cfg.Schedules, cfg.FaultSeed, cfg.Ops, 1, cfg.PrUpdate, cfg.NumTop, cfg.Timeout)
+	out := &ChaosBench{
 		Config:    cfg.DB.WithDefaults().String(),
-		Schedules: cfg.Schedules,
-		Ops:       cfg.Ops,
-		PrUpdate:  cfg.PrUpdate,
-		NumTop:    cfg.NumTop,
+		Schedules: sw.schedules,
+		Ops:       sw.ops,
+		PrUpdate:  sw.prUpdate,
+		NumTop:    sw.numTop,
 		Plan:      cfg.Plan.WithDefaults(),
 	}
-	bench.Plan.Seed = cfg.FaultSeed
-	for _, kind := range cfg.Strategies {
-		sres, err := runChaosStrategy(cfg, kind)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %s: %w", kind, err)
+	out.Plan.Seed = cfg.FaultSeed
+
+	// Fault-free baselines: the rows and page reads every schedule of a
+	// strategy is held to.
+	bases := make(map[strategy.Kind]*ChaosRun)
+	for _, kind := range sw.kinds {
+		base := chaosSchedule(cfg, sw, kind, provisionFor(kind, cfg.DB.WithDefaults()), -1, false, nil)
+		if len(base.Violations) > 0 {
+			return nil, fmt.Errorf("chaos: %s: baseline: %s", kind, base.Violations[0])
 		}
-		bench.Strategies = append(bench.Strategies, sres)
+		bases[kind] = base
 	}
-	bench.Violations = len(bench.AllViolations())
-	return bench, nil
-}
-
-func runChaosStrategy(cfg ChaosConfig, kind strategy.Kind) (*ChaosStrategy, error) {
-	dbCfg := provisionFor(kind, cfg.DB.WithDefaults())
-
-	// Fault-free baseline: the rows every schedule is held to.
-	base, baseReads, err := chaosBaseline(cfg, kind, dbCfg)
-	if err != nil {
-		return nil, err
+	runs := runSweep(sw, cfg.DB, true,
+		func(kind strategy.Kind, dbCfg workload.Config, seed int64, control bool) *ChaosRun {
+			return chaosSchedule(cfg, sw, kind, dbCfg, seed, !control, bases[kind])
+		},
+		func(seed int64, vs []Violation) *ChaosRun { return &ChaosRun{Seed: seed, Violations: vs} })
+	for k, kind := range sw.kinds {
+		out.Strategies = append(out.Strategies, &ChaosStrategy{
+			Strategy: kind.String(), BaselineReads: bases[kind].reads, Control: runs[k][0], Runs: runs[k][1:],
+		})
 	}
-	out := &ChaosStrategy{Strategy: kind.String(), BaselineReads: baseReads}
-
-	// Control schedule: no faults installed. Rows must match the
-	// baseline, and with the prefetcher off (no worker/consumer timing
-	// races) the page-read count must be bit-identical — the regression
-	// gate for "retry plumbing changed nothing when faults are off".
-	control := scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: -1, faulted: false, wantReads: -1}
-	if !dbCfg.PrefetchEnabled {
-		control.wantReads = baseReads
-	}
-	out.Control = runChaosSchedule(control)
-
-	for s := 0; s < cfg.Schedules; s++ {
-		spec := scheduleSpec{cfg: cfg, kind: kind, dbCfg: dbCfg, base: base, seed: cfg.FaultSeed + int64(s), faulted: true, wantReads: -1}
-		out.Runs = append(out.Runs, runChaosSchedule(spec))
-	}
+	out.Violations = len(out.AllViolations())
 	return out, nil
 }
 
-// chaosBaseline runs the op sequence fault-free and records each
-// retrieve's sorted values plus the measured-phase page reads.
-func chaosBaseline(cfg ChaosConfig, kind strategy.Kind, dbCfg workload.Config) ([]baselineRow, int64, error) {
-	db, err := workload.Build(dbCfg)
+// chaosSchedule runs the op sequence once on a fresh build of dbCfg,
+// under the fault plan of seed when faulted. Its retrieves must return
+// base's rows; with base nil the run is the fault-free baseline and
+// records its rows instead. With the prefetcher off the fault-free
+// control must also read exactly the baseline's pages: without
+// worker/consumer timing races the count is bit-identical — the
+// regression gate for "retry plumbing changed nothing when faults are
+// off".
+func chaosSchedule(cfg ChaosConfig, sw sweep, kind strategy.Kind, dbCfg workload.Config, seed int64, faulted bool, base *ChaosRun) *ChaosRun {
+	run := &ChaosRun{Seed: seed}
+	rec := &recorder{strategy: kind.String(), seed: seed}
+	defer func() { run.Violations = rec.violations() }()
+	db, st, err := buildStrategy(dbCfg, kind)
 	if err != nil {
-		return nil, 0, err
-	}
-	defer db.Close()
-	st, err := strategy.New(kind, db)
-	if err != nil {
-		return nil, 0, err
-	}
-	ops := db.GenSequence(cfg.Ops, cfg.PrUpdate, cfg.NumTop)
-	if err := db.ResetCold(); err != nil {
-		return nil, 0, err
-	}
-	startReads := db.Disk.Stats().Reads
-	rows := make([]baselineRow, 0, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case workload.OpRetrieve:
-			res, err := st.Retrieve(db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx})
-			if err != nil {
-				return nil, 0, fmt.Errorf("baseline retrieve %d: %w", i, err)
-			}
-			rows = append(rows, sortedVals(res.Values))
-		case workload.OpUpdate:
-			if err := st.Update(db, op); err != nil {
-				return nil, 0, fmt.Errorf("baseline update %d: %w", i, err)
-			}
-			rows = append(rows, nil)
-		}
-	}
-	return rows, db.Disk.Stats().Reads - startReads, nil
-}
-
-type scheduleSpec struct {
-	cfg       ChaosConfig
-	kind      strategy.Kind
-	dbCfg     workload.Config
-	base      []baselineRow
-	seed      int64
-	faulted   bool
-	wantReads int64 // control only: expected page reads, -1 = don't check
-}
-
-// runChaosSchedule executes one schedule under a watchdog. A schedule
-// that outlives the timeout is reported as a deadlock (its goroutine,
-// and the database it holds, are abandoned).
-func runChaosSchedule(spec scheduleSpec) *ChaosRun {
-	done := make(chan *ChaosRun, 1)
-	go func() { done <- runChaosScheduleBody(spec) }()
-	select {
-	case run := <-done:
-		return run
-	case <-time.After(spec.cfg.Timeout):
-		return &ChaosRun{Seed: spec.seed, Violations: []ChaosViolation{{
-			Strategy: spec.kind.String(), Seed: spec.seed, OpIndex: -1,
-			Kind: "deadlock", Detail: fmt.Sprintf("schedule still running after %s", spec.cfg.Timeout),
-		}}}
-	}
-}
-
-func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
-	run := &ChaosRun{Seed: spec.seed}
-	violate := func(op int, kind, detail string) {
-		run.Violations = append(run.Violations, ChaosViolation{
-			Strategy: spec.kind.String(), Seed: spec.seed, OpIndex: op, Kind: kind, Detail: detail,
-		})
-	}
-	db, err := workload.Build(spec.dbCfg)
-	if err != nil {
-		violate(-1, "unattributed-error", "build: "+err.Error())
+		rec.add("unattributed-error", "build: "+err.Error())
 		return run
 	}
 	defer db.Close()
-	st, err := strategy.New(spec.kind, db)
-	if err != nil {
-		violate(-1, "unattributed-error", "strategy: "+err.Error())
-		return run
-	}
-	ops := db.GenSequence(spec.cfg.Ops, spec.cfg.PrUpdate, spec.cfg.NumTop)
+	ops := sw.genOps(db)
 	if err := db.ResetCold(); err != nil {
-		violate(-1, "unattributed-error", "reset: "+err.Error())
+		rec.add("unattributed-error", "reset: "+err.Error())
 		return run
 	}
 	startReads := db.Disk.Stats().Reads
 	poolBefore := db.Pool.Stats()
 
 	var plan *disk.FaultPlan
-	if spec.faulted {
-		pc := spec.cfg.Plan
-		pc.Seed = spec.seed
+	if faulted {
+		pc := cfg.Plan
+		pc.Seed = seed
 		plan = disk.NewFaultPlan(pc)
 		db.Disk.SetFault(plan.Fn())
 	}
@@ -371,8 +261,8 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 	// swap is safe and the captured deltas exact) and fault-plan stat
 	// deltas ride along as span attributes.
 	var slowLog *obs.SlowLog
-	if spec.cfg.SlowLogSize > 0 {
-		slowLog = obs.NewSlowLog(spec.cfg.SlowLogSize, spec.cfg.SlowThreshold)
+	if cfg.SlowLogSize > 0 {
+		slowLog = obs.NewSlowLog(cfg.SlowLogSize, cfg.SlowThreshold)
 		defer func() { run.SlowQueries = slowLog.Snapshot() }()
 	}
 
@@ -392,7 +282,7 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 			}
 		}
 		opStart := time.Now()
-		vals, opErr, panicked := runChaosOp(db, st, op)
+		vals, opErr, panicked := runOp(db, st, op)
 		if slowLog != nil {
 			dur := time.Since(opStart)
 			db.AttachObs(obs.Options{})
@@ -419,17 +309,19 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 			slowLog.Offer(e)
 		}
 		if panicked != "" {
-			violate(i, "panic", panicked)
+			rec.at(i, "panic", panicked)
 			break
 		}
 		switch {
 		case opErr == nil:
 			run.OpsOK++
-			if op.Kind == workload.OpRetrieve && !diverged {
-				want := spec.base[i]
+			if base == nil {
+				run.rows = append(run.rows, sortedVals(vals))
+			} else if op.Kind == workload.OpRetrieve && !diverged {
+				want := base.rows[i]
 				run.RowsCompared++
 				if !equalInt64(sortedVals(vals), want) {
-					violate(i, "wrong-rows", fmt.Sprintf("retrieve %d returned %d values that differ from the fault-free baseline (%d values)",
+					rec.at(i, "wrong-rows", fmt.Sprintf("retrieve %d returned %d values that differ from the fault-free baseline (%d values)",
 						retrieveIdx, len(vals), len(want)))
 				}
 			}
@@ -440,7 +332,7 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 				diverged = true
 			}
 		default:
-			violate(i, "unattributed-error", opErr.Error())
+			rec.at(i, "unattributed-error", opErr.Error())
 			if op.Kind == workload.OpUpdate {
 				diverged = true
 			}
@@ -449,11 +341,11 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 			retrieveIdx++
 		}
 		if n := db.Pool.PinnedCount(); n != 0 {
-			violate(i, "pin-leak", fmt.Sprintf("%d pages still pinned after op", n))
+			rec.at(i, "pin-leak", fmt.Sprintf("%d pages still pinned after op", n))
 			break // later ops would wedge on the leaked pins
 		}
 		if n := db.Pool.Prefetcher().StagedCount(); n != 0 {
-			violate(i, "staged-leak", fmt.Sprintf("%d prefetched pages still staged after op", n))
+			rec.at(i, "staged-leak", fmt.Sprintf("%d prefetched pages still staged after op", n))
 			break
 		}
 	}
@@ -471,7 +363,7 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 	}
 	if db.Cache != nil {
 		if err := db.Cache.CheckInvariants(); err != nil {
-			violate(-1, "cache-invariant", err.Error())
+			rec.add("cache-invariant", err.Error())
 		}
 		cs := db.Cache.Stats()
 		run.CacheDegraded = cs.Degraded
@@ -481,31 +373,9 @@ func runChaosScheduleBody(spec scheduleSpec) *ChaosRun {
 	run.Retries = poolAfter.Retries
 	run.Recovered = poolAfter.Recovered
 	run.PrefetchErrs = db.Pool.Prefetcher().Stats().FetchErrs
-	if spec.wantReads >= 0 {
-		if got := endReads - startReads; got != spec.wantReads {
-			violate(-1, "wrong-rows", fmt.Sprintf("control run read %d pages, baseline read %d — fault-free behaviour drifted", got, spec.wantReads))
-		}
+	run.reads = endReads - startReads
+	if !faulted && base != nil && !dbCfg.PrefetchEnabled && run.reads != base.reads {
+		rec.add("wrong-rows", fmt.Sprintf("control run read %d pages, baseline read %d — fault-free behaviour drifted", run.reads, base.reads))
 	}
 	return run
-}
-
-// runChaosOp executes one operation, converting a panic into a report
-// instead of tearing the harness down.
-func runChaosOp(db *workload.DB, st strategy.Strategy, op workload.Op) (vals []int64, err error, panicked string) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = fmt.Sprintf("%v", r)
-		}
-	}()
-	switch op.Kind {
-	case workload.OpRetrieve:
-		var res *strategy.Result
-		res, err = st.Retrieve(db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx})
-		if res != nil {
-			vals = res.Values
-		}
-	case workload.OpUpdate:
-		err = st.Update(db, op)
-	}
-	return vals, err, ""
 }

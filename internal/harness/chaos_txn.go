@@ -2,12 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"corep/internal/disk"
-	"corep/internal/object"
 	"corep/internal/strategy"
+	"corep/internal/txn"
 	"corep/internal/workload"
 )
 
@@ -19,220 +16,67 @@ import (
 // not at all. Partial visibility is a torn-version violation; a member
 // missing its final round after the writers join is a lost update. The
 // run finishes by draining the store back into the base layout and
-// re-reading every unit through the strategy's own (snapshot-free)
-// retrieve, so a broken drain or a stale cache entry surfaces as a
-// violation too. Harness-level failures (build errors) are returned as
+// comparing snapshot-free sweeps through the strategy's own retrieve
+// against a control build holding every batch's final round, so a
+// broken drain or a stale cache entry surfaces as a violation too. Harness-level failures (build errors) are returned as
 // the error; contract breaches come back as violations.
-func RunTxnChaos(cfg ChaosConfig, kind strategy.Kind) ([]ChaosViolation, error) {
-	updaters := cfg.ConcurrentUpdaters
-	if updaters < 1 {
-		updaters = 2
-	}
-	rounds := cfg.Ops
-	if rounds < 1 {
-		rounds = 20
-	}
+func RunTxnChaos(cfg ChaosConfig, kind strategy.Kind) ([]Violation, error) {
+	rec := &recorder{strategy: kind.String(), seed: -1}
 	dbCfg := provisionFor(kind, cfg.DB.WithDefaults())
-	db, err := workload.Build(dbCfg)
+	h, err := newHammer("txn chaos", cfg, dbCfg, kind, rec, 2, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	st, err := strategy.New(kind, db)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.ResetCold(); err != nil {
-		return nil, err
-	}
-	db.EnableVersioning()
+	defer h.db.Close()
+	db, st, batches, rounds := h.db, h.st, h.batches, h.rounds
 
-	// Arm the fault plan when the config carries one: version installs
-	// are pure in-memory (they never fault), but the auditors' snapshot
-	// retrieves read base pages through the pool, so transient and spike
-	// faults exercise the degraded read paths under the atomicity
-	// contract. Attributed fault errors are clean degradation, not
-	// violations.
-	if cfg.Plan != (disk.FaultPlanConfig{}) {
-		pc := cfg.Plan
-		pc.Seed = cfg.FaultSeed
-		db.Disk.SetFault(disk.NewFaultPlan(pc).Fn())
-	}
-
-	// Updater u owns parent u's unit: with the default overlap the units
-	// are disjoint, so only u's own commits ever touch its members and a
-	// mixed-round batch can only mean a torn commit.
-	batches := make([][]object.OID, updaters)
-	for u := range batches {
-		batches[u] = db.UnitOf(int64(u))
-		if len(batches[u]) == 0 {
-			return nil, fmt.Errorf("harness: txn chaos: parent %d has an empty unit", u)
-		}
-	}
-	sentinel := func(u, r int) int64 { return int64(u+1)<<32 | int64(r) }
-
-	var (
-		mu         sync.Mutex
-		violations []ChaosViolation
-	)
-	violate := func(vkind, detail string) {
-		mu.Lock()
-		violations = append(violations, ChaosViolation{
-			Strategy: kind.String(), Seed: -1, OpIndex: -1, Kind: vkind, Detail: detail,
-		})
-		mu.Unlock()
-	}
-
-	// auditOnce pins one snapshot and checks every batch for atomicity.
-	auditOnce := func(withRetrieve bool) {
-		snap := db.Versions.Begin()
-		defer snap.Release()
+	// Each audit checks every batch's versions in its snapshot;
+	// every fourth pass also runs the full snapshot read path (overlay,
+	// cache watermarks) under the same epoch, not just the store.
+	h.run(func(g, i int, snap *txn.Snapshot) {
 		for u, batch := range batches {
-			seen, mixed := 0, false
-			var val int64
-			for _, oid := range batch {
-				v, ok := snap.Read(oid)
-				if !ok {
-					continue
-				}
-				if seen > 0 && v != val {
-					mixed = true
-				}
-				val = v
-				seen++
+			vals := make([]int64, len(batch))
+			for j, oid := range batch {
+				vals[j], _ = snap.Read(oid) // no visible version reads as 0, a build value
 			}
-			switch {
-			case seen != 0 && seen != len(batch):
-				violate("torn-version", fmt.Sprintf(
-					"updater %d: %d of %d members visible at epoch %d", u, seen, len(batch), snap.Epoch()))
-			case mixed:
-				violate("torn-version", fmt.Sprintf(
-					"updater %d: members from different rounds visible at epoch %d", u, snap.Epoch()))
-			}
+			h.auditBatch(u, vals, snap)
 		}
-		if withRetrieve {
-			// Exercise the full snapshot read path (overlay, cache
-			// watermarks) under the same epoch, not just the store.
-			if _, err := st.Retrieve(db, strategy.Query{
-				Lo: 0, Hi: int64(updaters - 1), AttrIdx: workload.FieldRet1, Snap: snap,
-			}); err != nil && !disk.IsFault(err) {
-				violate("unattributed-error", "snapshot retrieve: "+err.Error())
-			}
+		if i%4 == g%4 {
+			h.auditRetrieve(snap)
 		}
-	}
-
-	var (
-		wg          sync.WaitGroup
-		writersDone atomic.Bool
-		audits      atomic.Int64
-	)
-	for u := 0; u < updaters; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			for r := 1; r <= rounds; r++ {
-				op := workload.Op{Kind: workload.OpUpdate, Targets: batches[u]}
-				for range batches[u] {
-					op.NewRet1 = append(op.NewRet1, sentinel(u, r))
-				}
-				// Version installs never touch disk, so even with the
-				// fault plan armed an update error here is a real bug —
-				// a faulting versioned update means versions did I/O.
-				if err := st.Update(db, op); err != nil {
-					violate("unattributed-error", fmt.Sprintf("updater %d round %d: %v", u, r, err))
-					return
-				}
-			}
-		}(u)
-	}
-	var rwg sync.WaitGroup
-	for g := 0; g < updaters; g++ {
-		rwg.Add(1)
-		go func(g int) {
-			defer rwg.Done()
-			// Sample writersDone before the audit so every reader is
-			// guaranteed at least one pass, plus one after the writers
-			// quiesce — fast in-memory writers can otherwise finish all
-			// rounds before a slow (race-instrumented) reader completes
-			// its first sweep.
-			for i := 0; ; i++ {
-				done := writersDone.Load()
-				auditOnce(i%4 == g%4)
-				audits.Add(1)
-				if done {
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	writersDone.Store(true)
-	rwg.Wait()
+	}, nil)
 
 	// Post-join: the final snapshot must hold every batch at its last
 	// round — anything else means a commit was lost.
-	func() {
-		snap := db.Versions.Begin()
-		defer snap.Release()
-		for u, batch := range batches {
-			want := sentinel(u, rounds)
-			for _, oid := range batch {
-				if v, ok := snap.Read(oid); !ok || v != want {
-					violate("lost-update", fmt.Sprintf(
-						"updater %d member %v: got %d,%v want %d", u, oid, v, ok, want))
-					break
-				}
-			}
-		}
-	}()
-
-	// Drain into the base layout through the strategy's own update path,
-	// then re-read each unit snapshot-free: the base (and any cache in
-	// front of it) must serve the final round. Faults are lifted first —
-	// drain models post-quiesce reconciliation, and the final-state audit
-	// must be able to read every page.
-	db.Disk.SetFault(nil)
-	drained, err := db.DrainVersions(func(op workload.Op) error { return st.Update(db, op) })
-	if err != nil {
-		violate("unattributed-error", "drain: "+err.Error())
-	}
-	wantDrained := 0
-	for _, b := range batches {
-		wantDrained += len(b)
-	}
-	if err == nil && drained != wantDrained {
-		violate("lost-update", fmt.Sprintf("drain applied %d objects, want %d", drained, wantDrained))
-	}
+	snap := db.Versions.Begin()
 	for u, batch := range batches {
-		res, err := st.Retrieve(db, strategy.Query{Lo: int64(u), Hi: int64(u), AttrIdx: workload.FieldRet1})
-		if err != nil {
-			violate("unattributed-error", fmt.Sprintf("post-drain retrieve %d: %v", u, err))
-			continue
-		}
-		if len(res.Values) != len(batch) {
-			violate("lost-update", fmt.Sprintf(
-				"post-drain retrieve %d returned %d values, want %d", u, len(res.Values), len(batch)))
-			continue
-		}
 		want := sentinel(u, rounds)
-		for _, v := range res.Values {
-			if v != want {
-				violate("lost-update", fmt.Sprintf(
-					"post-drain retrieve %d saw %d, want %d", u, v, want))
+		for _, oid := range batch {
+			if v, ok := snap.Read(oid); !ok || v != want {
+				rec.add("lost-update", fmt.Sprintf(
+					"updater %d member %v: got %d,%v want %d", u, oid, v, ok, want))
 				break
 			}
 		}
 	}
-	if n := db.Pool.PinnedCount(); n != 0 {
-		violate("pin-leak", fmt.Sprintf("%d pages still pinned after txn chaos", n))
+	snap.Release()
+
+	// Drain into the base layout through the strategy's own update path;
+	// then the base (and any cache in front of it) must serve the final
+	// round to snapshot-free reads, as the control does. Faults are
+	// lifted first — drain models post-quiesce reconciliation, and the
+	// final-state audit must be able to read every page.
+	db.Disk.SetFault(nil)
+	drained, err := db.DrainVersions(func(op workload.Op) error { return st.Update(db, op) })
+	if err != nil {
+		rec.add("unattributed-error", "drain: "+err.Error())
 	}
-	if db.Cache != nil {
-		if err := db.Cache.CheckInvariants(); err != nil {
-			violate("cache-invariant", err.Error())
-		}
+	if err == nil && drained != h.members() {
+		rec.add("lost-update", fmt.Sprintf("drain applied %d objects, want %d", drained, h.members()))
 	}
-	if audits.Load() == 0 {
-		violate("unattributed-error", "reader goroutines never completed an audit")
+	if err := h.compareToControl(dbCfg, kind); err != nil {
+		return rec.violations(), err
 	}
-	return violations, nil
+	h.finish()
+	return rec.violations(), nil
 }

@@ -237,7 +237,7 @@ func RunPlannerSweep(cfg PlannerSweepConfig) (*PlannerSweepResult, error) {
 			// all strategies agree as sorted multisets).
 			pv := vals[len(arms)-1]
 			for ai, a := range arms[:len(arms)-1] {
-				if !equalVals(pv, vals[ai]) {
+				if !equalInt64(pv, vals[ai]) {
 					return nil, fmt.Errorf("planner sweep: rows diverge between %s and %s on [%d,%d] attr %d",
 						a.name, plArm.name, q.Lo, q.Hi, q.AttrIdx)
 				}
@@ -264,28 +264,6 @@ func RunPlannerSweep(cfg PlannerSweepConfig) (*PlannerSweepResult, error) {
 		res.PlannerStats = pl.P.Stats()
 	}
 	return res, nil
-}
-
-// sortedVals (verify.go) is the order-insensitive row-identity
-// representation shared with the differential suite.
-
-func equalVals(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CheckPlannerSweep enforces the acceptance gates: per phase the
@@ -364,9 +342,5 @@ func (r *PlannerSweepResult) BenchCells() []bench.Cell {
 
 // WriteJSON writes the sweep wrapped in the versioned envelope.
 func (r *PlannerSweepResult) WriteJSON(w io.Writer) error {
-	env, err := bench.New("planner", r, r.BenchCells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return writeEnvelope(w, "planner", r, r.BenchCells())
 }

@@ -3,8 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"corep/internal/disk"
@@ -12,6 +11,7 @@ import (
 	"corep/internal/obs"
 	"corep/internal/reclust"
 	"corep/internal/strategy"
+	"corep/internal/txn"
 	"corep/internal/workload"
 )
 
@@ -47,191 +47,77 @@ func reclustChaosCfg(base workload.Config) workload.Config {
 // must drop cleanly, publishing nothing. After the writers quiesce the
 // versions drain into the base layout and full-attribute sweeps are
 // compared value-for-value against a never-reclustered control build.
-func RunReclustChaos(cfg ChaosConfig) ([]ChaosViolation, error) {
-	updaters := cfg.ConcurrentUpdaters
-	if updaters < 1 {
-		updaters = 3
-	}
-	rounds := cfg.Ops
-	if rounds < 1 {
-		rounds = 20
-	}
+func RunReclustChaos(cfg ChaosConfig) ([]Violation, error) {
 	dbCfg := reclustChaosCfg(cfg.DB)
-	db, err := workload.Build(dbCfg)
+	rec := &recorder{strategy: "dfsclust+reclust", seed: cfg.FaultSeed}
+	h, err := newHammer("reclust chaos", cfg, dbCfg, strategy.DFSCLUST, rec, 3, func(h *hammer) error {
+		if err := h.db.EnableReclustering(0, 0); err != nil {
+			return err
+		}
+		h.db.AttachObs(obs.Options{}) // joins the heat feeder to the span tee
+		// Heat the updaters' parents before anything runs. ReclustStep
+		// moves nothing while no unit is hot, and the writers can finish
+		// before an auditor's retrieve has heated one, leaving the
+		// reorganizer nothing to do for the whole faulted phase.
+		for i := 0; i < 3; i++ {
+			h.auditRetrieve(nil)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer db.Close()
-	st, err := strategy.New(strategy.DFSCLUST, db)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.ResetCold(); err != nil {
-		return nil, err
-	}
-	db.EnableVersioning()
-	if err := db.EnableReclustering(0, 0); err != nil {
-		return nil, err
-	}
-	db.AttachObs(obs.Options{}) // joins the heat feeder to the span tee
+	defer h.db.Close()
+	db, st, batches := h.db, h.st, h.batches
 
-	if cfg.Plan != (disk.FaultPlanConfig{}) {
-		pc := cfg.Plan
-		pc.Seed = cfg.FaultSeed
-		db.Disk.SetFault(disk.NewFaultPlan(pc).Fn())
-	}
-
-	batches := make([][]object.OID, updaters)
-	for u := range batches {
-		batches[u] = db.UnitOf(int64(u))
-		if len(batches[u]) == 0 {
-			return nil, fmt.Errorf("harness: reclust chaos: parent %d has an empty unit", u)
-		}
-	}
-	// Build values are < 2^30, so a sentinel is recognizable in any
-	// retrieve result and carries its updater and round.
-	sentinel := func(u, r int) int64 { return int64(u+1)<<32 | int64(r) }
-
-	var (
-		mu         sync.Mutex
-		violations []ChaosViolation
-	)
-	violate := func(vkind, detail string) {
-		mu.Lock()
-		violations = append(violations, ChaosViolation{
-			Strategy: "dfsclust+reclust", Seed: cfg.FaultSeed, OpIndex: -1, Kind: vkind, Detail: detail,
-		})
-		mu.Unlock()
-	}
-
-	// auditOnce retrieves the updaters' parent range under one snapshot
-	// and checks each unit's slice of the result: all-sentinel groups
-	// must agree on one round, and a sentinel mixed with build values is
-	// a torn read — regardless of whether the values came off base
-	// pages, migrated extent pages, or the version overlay.
-	auditOnce := func() {
-		snap := db.Versions.Begin()
-		defer snap.Release()
-		res, err := st.Retrieve(db, strategy.Query{
-			Lo: 0, Hi: int64(updaters - 1), AttrIdx: workload.FieldRet1, Snap: snap,
-		})
-		if err != nil {
-			if !disk.IsFault(err) {
-				violate("unattributed-error", "snapshot retrieve: "+err.Error())
-			}
+	var migrated, migErrs atomic.Int64
+	h.run(func(_, _ int, snap *txn.Snapshot) {
+		// One audit retrieves the updaters' parent range under one
+		// snapshot and checks each unit's slice of the result:
+		// all-sentinel groups must agree on one round, and a sentinel
+		// mixed with build values is a torn read — regardless of whether
+		// the values came off base pages, migrated extent pages, or the
+		// version overlay.
+		vals, ok := h.auditRetrieve(snap)
+		if !ok {
 			return
 		}
-		want := 0
-		for _, b := range batches {
-			want += len(b)
-		}
-		if len(res.Values) != want {
-			violate("wrong-rows", fmt.Sprintf(
-				"snapshot retrieve returned %d values, want %d (lost or duplicated members)", len(res.Values), want))
+		if len(vals) != h.members() {
+			rec.add("wrong-rows", fmt.Sprintf(
+				"snapshot retrieve returned %d values, want %d (lost or duplicated members)", len(vals), h.members()))
 			return
 		}
-		off := 0
 		for u, b := range batches {
-			group := res.Values[off : off+len(b)]
-			off += len(b)
-			builds, sentinels := 0, 0
-			seen := int64(-1)
-			for _, v := range group {
-				if v < 1<<32 {
-					builds++
-					continue
-				}
-				sentinels++
-				if seen >= 0 && v != seen {
-					violate("torn-version", fmt.Sprintf(
-						"updater %d: sentinels %d and %d in one snapshot at epoch %d", u, seen, v, snap.Epoch()))
-				}
-				seen = v
-			}
-			if builds > 0 && sentinels > 0 {
-				violate("torn-version", fmt.Sprintf(
-					"updater %d: %d members at sentinel %d, %d still at build values, at epoch %d",
-					u, sentinels, seen, builds, snap.Epoch()))
-			}
+			h.auditBatch(u, vals[:len(b)], snap)
+			vals = vals[len(b):]
 		}
-	}
-
-	var (
-		wg          sync.WaitGroup
-		writersDone atomic.Bool
-		audits      atomic.Int64
-		migrated    atomic.Int64
-		migErrs     atomic.Int64
-	)
-	for u := 0; u < updaters; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			for r := 1; r <= rounds; r++ {
-				op := workload.Op{Kind: workload.OpUpdate, Targets: batches[u]}
-				for range batches[u] {
-					op.NewRet1 = append(op.NewRet1, sentinel(u, r))
-				}
-				if err := st.Update(db, op); err != nil {
-					violate("unattributed-error", fmt.Sprintf("updater %d round %d: %v", u, r, err))
-					return
-				}
-			}
-		}(u)
-	}
-	var rwg sync.WaitGroup
-	for g := 0; g < updaters; g++ {
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			for {
-				done := writersDone.Load()
-				auditOnce()
-				audits.Add(1)
-				if done {
-					return
-				}
-			}
-		}()
-	}
-	// The reorganizer: small batches, continuously, for the whole run.
-	// A faulted batch is clean degradation — nothing published — but any
-	// other error is a bug in the migration protocol.
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
-		for {
-			done := writersDone.Load()
-			n, err := db.ReclustStep(2)
-			switch {
-			case err == nil:
-				migrated.Add(int64(n))
-			case disk.IsFault(err):
-				migErrs.Add(1)
-			default:
-				violate("unattributed-error", "reclust step: "+err.Error())
-				return
-			}
-			if done {
-				return
-			}
-			runtime.Gosched()
+	}, func() bool {
+		// The reorganizer: small batches, continuously, for the whole
+		// run. A faulted batch is clean degradation — nothing published
+		// — but any other error is a bug in the migration protocol.
+		n, err := db.ReclustStep(2)
+		switch {
+		case err == nil:
+			migrated.Add(int64(n))
+		case disk.IsFault(err):
+			migErrs.Add(1)
+		default:
+			rec.add("unattributed-error", "reclust step: "+err.Error())
+			return false
 		}
-	}()
-	wg.Wait()
-	writersDone.Store(true)
-	rwg.Wait()
+		return true
+	})
 
 	// Quiesce: lift the faults, migrate the updaters' parents if the
 	// faulted phase never got to them, and drain the version store
 	// through the strategy's own update path (which now write-throughs
 	// to the migrated copies).
 	db.Disk.SetFault(nil)
-	if _, err := db.ReclustStep(updaters); err != nil {
-		violate("unattributed-error", "post-fault reclust step: "+err.Error())
+	if _, err := db.ReclustStep(len(batches)); err != nil {
+		rec.add("unattributed-error", "post-fault reclust step: "+err.Error())
 	}
 	if _, err := db.DrainVersions(func(op workload.Op) error { return st.Update(db, op) }); err != nil {
-		violate("unattributed-error", "drain: "+err.Error())
+		rec.add("unattributed-error", "drain: "+err.Error())
 	}
 
 	// Control: identical scattered build, never reclustered, with each
@@ -239,72 +125,14 @@ func RunReclustChaos(cfg ChaosConfig) ([]ChaosViolation, error) {
 	// attribute must agree value for value — same rows, same order.
 	ctlCfg := dbCfg
 	ctlCfg.CacheUnits = 0
-	ctl, err := workload.Build(ctlCfg)
-	if err != nil {
-		return violations, fmt.Errorf("harness: reclust chaos control: %w", err)
+	if err := h.compareToControl(ctlCfg, strategy.DFSCLUST); err != nil {
+		return rec.violations(), err
 	}
-	defer ctl.Close()
-	cst, err := strategy.New(strategy.DFSCLUST, ctl)
-	if err != nil {
-		return violations, err
-	}
-	for u, b := range batches {
-		op := workload.Op{Kind: workload.OpUpdate, Targets: b}
-		for range b {
-			op.NewRet1 = append(op.NewRet1, sentinel(u, rounds))
-		}
-		if err := cst.Update(ctl, op); err != nil {
-			return violations, fmt.Errorf("harness: reclust chaos control update: %w", err)
-		}
-	}
-	compareSweeps(db, st, ctl, cst, violate)
-
-	if n := db.Pool.PinnedCount(); n != 0 {
-		violate("pin-leak", fmt.Sprintf("%d pages still pinned after reclust chaos", n))
-	}
-	if db.Cache != nil {
-		if err := db.Cache.CheckInvariants(); err != nil {
-			violate("cache-invariant", err.Error())
-		}
-	}
-	if audits.Load() == 0 {
-		violate("unattributed-error", "reader goroutines never completed an audit")
-	}
+	h.finish()
 	if migrated.Load() == 0 && migErrs.Load() == 0 {
-		violate("unattributed-error", "reorganizer never ran a batch")
+		rec.add("unattributed-error", "reorganizer never ran a batch")
 	}
-	return violations, nil
-}
-
-// compareSweeps runs full-range retrieves over every ret attribute on
-// both databases and requires value-for-value equality.
-func compareSweeps(db *workload.DB, st strategy.Strategy, ctl *workload.DB, cst strategy.Strategy, violate func(kind, detail string)) {
-	hi := int64(db.Cfg.NumParents - 1)
-	for _, attr := range []int{workload.FieldRet1, workload.FieldRet2, workload.FieldRet3} {
-		q := strategy.Query{Lo: 0, Hi: hi, AttrIdx: attr}
-		got, err := st.Retrieve(db, q)
-		if err != nil {
-			violate("unattributed-error", fmt.Sprintf("sweep attr %d: %v", attr, err))
-			continue
-		}
-		want, err := cst.Retrieve(ctl, q)
-		if err != nil {
-			violate("unattributed-error", fmt.Sprintf("control sweep attr %d: %v", attr, err))
-			continue
-		}
-		if len(got.Values) != len(want.Values) {
-			violate("wrong-rows", fmt.Sprintf(
-				"sweep attr %d: %d values vs control's %d — lost or duplicated objects", attr, len(got.Values), len(want.Values)))
-			continue
-		}
-		for i := range got.Values {
-			if got.Values[i] != want.Values[i] {
-				violate("wrong-rows", fmt.Sprintf(
-					"sweep attr %d value %d: got %d, control says %d", attr, i, got.Values[i], want.Values[i]))
-				break
-			}
-		}
-	}
+	return rec.violations(), nil
 }
 
 // RunReclustCrash runs seeded kill schedules against a reclustering
@@ -318,66 +146,57 @@ func compareSweeps(db *workload.DB, st strategy.Strategy, ctl *workload.DB, cst 
 // in-doubt one's — and every object must read back exactly once,
 // checked value-for-value against a crash-free never-reclustered
 // control. Migration must also still work on the recovered database.
-func RunReclustCrash(cfg CrashConfig) ([]ChaosViolation, error) {
-	if cfg.Schedules < 1 {
-		cfg.Schedules = 1
-	}
-	if cfg.Ops < 1 {
-		cfg.Ops = 20
-	}
+func RunReclustCrash(cfg CrashConfig) ([]Violation, error) {
 	if cfg.NumTop < 1 {
 		cfg.NumTop = 4
 	}
-	dbCfg := reclustChaosCfg(cfg.DB)
-	dbCfg.CacheUnits = 0 // cache pages are exempt from write-ahead; keep schedules about placements
-	if dbCfg.ZipfTheta == 0 {
-		dbCfg.ZipfTheta = 0.9
+	sw := newSweep([]strategy.Kind{strategy.DFSCLUST}, cfg.Schedules, cfg.Seed, cfg.Ops, 1, 0, cfg.NumTop, cfg.Timeout)
+	// The sweep provisions DFSCLUST without an outside cache: cache pages
+	// are exempt from write-ahead, so the schedules stay about placements.
+	base := reclustChaosCfg(cfg.DB)
+	if base.ZipfTheta == 0 {
+		base.ZipfTheta = 0.9
 	}
-
-	var violations []ChaosViolation
-	for s := 0; s < cfg.Schedules; s++ {
-		seed := cfg.Seed + int64(s)
-		violate := func(vkind, detail string) {
-			violations = append(violations, ChaosViolation{
-				Strategy: "dfsclust+reclust", Seed: seed, OpIndex: -1, Kind: vkind, Detail: detail,
-			})
-		}
-		if err := runReclustCrashSchedule(cfg, dbCfg, seed, violate); err != nil {
-			return violations, err
-		}
-	}
-	return violations, nil
+	runs := runSweep(sw, base, false,
+		func(_ strategy.Kind, dbCfg workload.Config, seed int64, _ bool) []Violation {
+			rec := &recorder{strategy: "dfsclust+reclust", seed: seed}
+			reclustCrashSchedule(sw, dbCfg, seed, cfg.PTorn, rec)
+			return rec.violations()
+		},
+		func(_ int64, vs []Violation) []Violation { return vs })
+	return slices.Concat(runs[0]...), nil
 }
 
-func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64, violate func(kind, detail string)) error {
+func reclustCrashSchedule(sw sweep, dbCfg workload.Config, seed int64, pTorn float64, rec *recorder) {
 	rng := rand.New(rand.NewSource(seed))
 	dbCfg.Seed = seed
+	fail := func(what string, err error) { rec.add("unattributed-error", what+": "+err.Error()) }
 
-	db, err := workload.Build(dbCfg)
+	db, st, err := buildStrategy(dbCfg, strategy.DFSCLUST)
 	if err != nil {
-		return err
+		fail("build", err)
+		return
 	}
 	defer db.Close()
-	st, err := strategy.New(strategy.DFSCLUST, db)
-	if err != nil {
-		return err
-	}
 	if err := db.EnableReclustering(0, 0); err != nil {
-		return err
+		fail("enable reclustering", err)
+		return
 	}
 	db.AttachObs(obs.Options{})
 	if err := db.EnableWAL(0); err != nil {
-		return err
+		fail("enable WAL", err)
+		return
 	}
-	if cfg.PTorn > 0 {
-		db.Disk.SetFault(disk.NewFaultPlan(disk.FaultPlanConfig{PTorn: cfg.PTorn, Seed: seed}).Fn())
+	if pTorn > 0 {
+		db.Disk.SetFault(disk.NewFaultPlan(disk.FaultPlanConfig{PTorn: pTorn, Seed: seed}).Fn())
 	}
 
 	// Feed the heat tracker with the schedule's skewed retrieves.
-	for _, op := range db.GenSequence(cfg.Ops, 0, cfg.NumTop) {
+	queries := sw.genOps(db)
+	for _, op := range queries {
 		if _, err := st.Retrieve(db, strategy.Query{Lo: op.Lo, Hi: op.Hi, AttrIdx: op.AttrIdx}); err != nil {
-			violate("unattributed-error", "heat retrieve: "+err.Error())
-			return nil
+			fail("heat retrieve", err)
+			return
 		}
 	}
 
@@ -387,8 +206,8 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 	nBatches := 1 + rng.Intn(3)
 	for b := 0; b < nBatches; b++ {
 		if _, err := db.ReclustStep(2 + rng.Intn(3)); err != nil {
-			violate("unattributed-error", fmt.Sprintf("batch %d: %v", b, err))
-			return nil
+			fail(fmt.Sprintf("batch %d", b), err)
+			return
 		}
 	}
 	committed := db.Reclust.Place.Snapshot()
@@ -401,29 +220,23 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 	if inDoubt {
 		db.WAL.Device().FailNextSync()
 		if _, err := db.ReclustStep(2); err == nil {
-			violate("unattributed-error", "in-doubt batch: fsync failure did not surface")
-			return nil
+			rec.add("unattributed-error", "in-doubt batch: fsync failure did not surface")
+			return
 		}
 		if got := db.Reclust.Place.Len(); got != len(committed) {
-			violate("torn-version", fmt.Sprintf(
+			rec.add("torn-version", fmt.Sprintf(
 				"in-doubt batch published %d placements despite failed commit (want %d)", got, len(committed)))
-			return nil
+			return
 		}
 	}
 
 	// The kill.
-	db.Disk.SetFault(nil)
-	var keep int64
-	if unsynced := db.WAL.Device().Unsynced(); unsynced > 0 {
-		keep = rng.Int63n(unsynced + 1)
-	}
-	res, err := db.CrashAndRecover(keep)
-	if err != nil {
-		violate("unattributed-error", "recover: "+err.Error())
-		return nil
+	_, res := killAndRecover(db, rng, rec)
+	if res == nil {
+		return
 	}
 	if len(res.Commits) < nBatches {
-		violate("lost-commit", fmt.Sprintf(
+		rec.add("lost-commit", fmt.Sprintf(
 			"recovery replayed %d commits, %d migration batches were acknowledged", len(res.Commits), nBatches))
 	}
 
@@ -438,35 +251,32 @@ func runReclustCrashSchedule(cfg CrashConfig, dbCfg workload.Config, seed int64,
 	case inDoubt && len(restored) > len(committed) && reclustPlacementsContain(restored, committed):
 		// in-doubt commit survived whole
 	default:
-		violate("torn-version", fmt.Sprintf(
+		rec.add("torn-version", fmt.Sprintf(
 			"recovery restored %d placements, last acknowledged batch had %d (in-doubt=%v) — partial batch",
 			len(restored), len(committed), inDoubt))
 	}
 
-	// Exactly-once readability: full sweeps against a crash-free,
-	// never-reclustered control of the same config.
-	ctl, err := workload.Build(dbCfg)
+	// Exactly-once readability: the schedule's own retrieves and full
+	// sweeps, checked against a crash-free, never-reclustered control of
+	// the same config.
+	ctl, cst, err := buildStrategy(dbCfg, strategy.DFSCLUST)
 	if err != nil {
-		return err
+		fail("control build", err)
+		return
 	}
 	defer ctl.Close()
-	cst, err := strategy.New(strategy.DFSCLUST, ctl)
-	if err != nil {
-		return err
-	}
-	compareSweeps(db, st, ctl, cst, violate)
+	compareSweeps(db, st, ctl, cst, queries, rec)
 
 	// The recovered database keeps reorganizing: one more batch (the WAL
 	// is gone, so it publishes directly), then the rows must still match.
 	if _, err := db.ReclustStep(2); err != nil {
-		violate("unattributed-error", "post-recovery reclust step: "+err.Error())
-		return nil
+		fail("post-recovery reclust step", err)
+		return
 	}
-	compareSweeps(db, st, ctl, cst, violate)
+	compareSweeps(db, st, ctl, cst, queries, rec)
 	if n := db.Pool.PinnedCount(); n != 0 {
-		violate("pin-leak", fmt.Sprintf("%d pages still pinned after crash schedule", n))
+		rec.add("pin-leak", fmt.Sprintf("%d pages still pinned after crash schedule", n))
 	}
-	return nil
 }
 
 // reclustPlacementsEqual reports whether two placement snapshots agree

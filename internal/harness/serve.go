@@ -603,11 +603,7 @@ func (b *ThroughputBench) Cells() []bench.Cell {
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
 func (b *ThroughputBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("throughput", b, b.Cells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return writeEnvelope(w, "throughput", b, b.Cells())
 }
 
 // SLOBench is the tail-latency serving benchmark (BENCH_slo.json): one
@@ -675,9 +671,5 @@ func (b *SLOBench) Cells() []bench.Cell {
 
 // WriteJSON writes the bench wrapped in the versioned envelope.
 func (b *SLOBench) WriteJSON(w io.Writer) error {
-	env, err := bench.New("slo", b, b.Cells())
-	if err != nil {
-		return err
-	}
-	return env.WriteJSON(w)
+	return writeEnvelope(w, "slo", b, b.Cells())
 }

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"corep/internal/strategy"
 	"corep/internal/workload"
@@ -51,12 +51,7 @@ func VerifyAgreement(sc Scale) (*Table, error) {
 	return t, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+func maxInt(a, b int) int { return max(a, b) }
 
 // verifyOne checks one configuration, returning how many queries and
 // values were compared.
@@ -100,7 +95,7 @@ func verifyOne(cfg workload.Config) (int, int, error) {
 				}
 				g := sortedVals(got.Values)
 				if k == strategy.BFSNODUP {
-					if !equalInt64(g, dedupVals(want)) {
+					if !equalInt64(g, slices.Compact(slices.Clone(want))) {
 						return fmt.Errorf("%v set mismatch on [%d,%d]", k, q.Lo, q.Hi)
 					}
 					continue
@@ -138,29 +133,9 @@ func verifyOne(cfg workload.Config) (int, int, error) {
 }
 
 func sortedVals(v []int64) []int64 {
-	out := append([]int64(nil), v...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(v)
+	slices.Sort(out)
 	return out
 }
 
-func dedupVals(sorted []int64) []int64 {
-	var out []int64
-	for i, v := range sorted {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func equalInt64(a, b []int64) bool { return slices.Equal(a, b) }
