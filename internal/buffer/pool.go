@@ -15,7 +15,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -137,7 +136,61 @@ type frame struct {
 	// log record covering a change is durable before the page is. The
 	// mark clears when CollectUnlogged hands the image to the log.
 	unlogged bool
-	lru      *list.Element // position in the replacement list; nil while pinned
+	// prev/next link the frame into its shard's replacement list; both
+	// are nil while the frame is pinned.
+	prev, next *frame
+}
+
+// lruList is the replacement list of unpinned frames, threaded through
+// the frames' own links around a sentinel (no per-Unpin allocation).
+// The front is the next eviction candidate.
+type lruList struct {
+	root frame // root.next is the front, root.prev the back
+	n    int
+}
+
+func (l *lruList) init() { l.root.next, l.root.prev = &l.root, &l.root }
+
+// Len returns the number of listed frames.
+func (l *lruList) Len() int { return l.n }
+
+// Front returns the first frame, or nil when the list is empty.
+func (l *lruList) Front() *frame { return l.Next(&l.root) }
+
+// Next returns the frame following f, or nil at the end of the list.
+func (l *lruList) Next(f *frame) *frame {
+	if f.next == &l.root {
+		return nil
+	}
+	return f.next
+}
+
+func (l *lruList) insertAfter(f, at *frame) {
+	f.prev, f.next = at, at.next
+	at.next.prev = f
+	at.next = f
+	l.n++
+}
+
+// PushFront lists f as the next eviction candidate.
+func (l *lruList) PushFront(f *frame) { l.insertAfter(f, &l.root) }
+
+// PushBack lists f as the most recently used frame.
+func (l *lruList) PushBack(f *frame) { l.insertAfter(f, l.root.prev) }
+
+// Remove unlinks a listed frame.
+func (l *lruList) Remove(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+	l.n--
+}
+
+// MoveToBack moves a listed frame to the back.
+func (l *lruList) MoveToBack(f *frame) {
+	if l.root.prev != f {
+		l.Remove(f)
+		l.PushBack(f)
+	}
 }
 
 // shard is one stripe of the pool: a fixed-capacity frame table with its
@@ -151,7 +204,7 @@ type shard struct {
 	policy Policy
 	rng    *rand.Rand
 	frames map[disk.PageID]*frame
-	lru    *list.List // unpinned frames, front = least recently used
+	lru    lruList // unpinned frames, front = least recently used
 	retry  atomic.Pointer[RetryPolicy]
 
 	hits, misses, flushes, pins, retries, recovered atomic.Int64
@@ -258,8 +311,8 @@ func NewSharded(dm disk.Manager, capacity int, policy Policy, numShards int) (*P
 			dm: dm, cap: c, policy: policy,
 			rng:    rand.New(rand.NewSource(int64(capacity) + int64(policy) + int64(i)*7919)),
 			frames: make(map[disk.PageID]*frame, c),
-			lru:    list.New(),
 		}
+		p.shards[i].lru.init()
 		rp := DefaultRetryPolicy
 		p.shards[i].retry.Store(&rp)
 	}
@@ -512,9 +565,9 @@ func (p *Pool) Unpin(id disk.PageID, dirty bool) {
 	if f.pins == 0 {
 		if f.scan {
 			// Read-once sweep page: next in line for eviction.
-			f.lru = s.lru.PushFront(f)
+			s.lru.PushFront(f)
 		} else {
-			f.lru = s.lru.PushBack(f)
+			s.lru.PushBack(f)
 		}
 	}
 }
@@ -567,7 +620,7 @@ func (p *Pool) Invalidate() error {
 				f.dirty = false
 				s.flushes.Add(1)
 			}
-			s.lru.Remove(f.lru)
+			s.lru.Remove(f)
 			delete(s.frames, id)
 		}
 		s.mu.Unlock()
@@ -592,9 +645,8 @@ func (p *Pool) PinnedCount() int {
 }
 
 func (s *shard) pinLocked(f *frame) {
-	if f.pins == 0 && f.lru != nil {
-		s.lru.Remove(f.lru)
-		f.lru = nil
+	if f.pins == 0 && f.next != nil {
+		s.lru.Remove(f)
 	}
 	f.pins++
 }
@@ -606,11 +658,10 @@ func (s *shard) victimLocked() (*frame, error) {
 	if len(s.frames) < s.cap {
 		return &frame{buf: make([]byte, disk.PageSize)}, nil
 	}
-	el := s.chooseVictimLocked()
-	if el == nil {
+	f := s.chooseVictimLocked()
+	if f == nil {
 		return nil, fmt.Errorf("buffer: all %d frames of shard pinned or awaiting log capture", s.cap)
 	}
-	f := el.Value.(*frame)
 	// Write back before detaching: if the write fails, the dirty frame
 	// stays resident and no data is lost.
 	if f.dirty {
@@ -620,19 +671,18 @@ func (s *shard) victimLocked() (*frame, error) {
 		f.dirty = false
 		s.flushes.Add(1)
 	}
-	s.lru.Remove(el)
-	f.lru = nil
+	s.lru.Remove(f)
 	delete(s.frames, f.id)
 	return f, nil
 }
 
-// chooseVictimLocked picks the element to evict per the policy; the
-// list holds only unpinned frames. Unlogged frames (dirtied under the
+// chooseVictimLocked picks the frame to evict per the policy; the list
+// holds only unpinned frames. Unlogged frames (dirtied under the
 // WAL no-steal gate, image not yet captured) are never chosen: writing
 // them back would put a page on disk ahead of its log record. With the
 // gate off no frame is unlogged and every policy behaves — RNG stream
 // included — exactly as it did before the gate existed.
-func (s *shard) chooseVictimLocked() *list.Element {
+func (s *shard) chooseVictimLocked() *frame {
 	n := s.lru.Len()
 	if n == 0 {
 		return nil
@@ -643,41 +693,48 @@ func (s *shard) chooseVictimLocked() *list.Element {
 		// their bit; unlogged frames rotate without losing their bit.
 		// Bounded by two full sweeps, then a linear fallback.
 		for i := 0; i <= 2*n; i++ {
-			el := s.lru.Front()
-			f := el.Value.(*frame)
+			f := s.lru.Front()
 			if f.unlogged {
-				s.lru.MoveToBack(el)
+				s.lru.MoveToBack(f)
 				continue
 			}
 			if !f.ref {
-				return el
+				return f
 			}
 			f.ref = false
-			s.lru.MoveToBack(el)
+			s.lru.MoveToBack(f)
 		}
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if !el.Value.(*frame).unlogged {
-				return el
-			}
-		}
-		return nil
+		return s.nthEvictableLocked(0)
 	case Random:
-		eligible := make([]*list.Element, 0, n)
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if !el.Value.(*frame).unlogged {
-				eligible = append(eligible, el)
+		// One draw over the eligible frames, then a walk to the drawn
+		// one: the same RNG stream and victim as indexing a collected
+		// slice, without building it.
+		eligible := 0
+		for f := s.lru.Front(); f != nil; f = s.lru.Next(f) {
+			if !f.unlogged {
+				eligible++
 			}
 		}
-		if len(eligible) == 0 {
+		if eligible == 0 {
 			return nil
 		}
-		return eligible[s.rng.Intn(len(eligible))]
+		return s.nthEvictableLocked(s.rng.Intn(eligible))
 	default: // LRU
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if !el.Value.(*frame).unlogged {
-				return el
-			}
-		}
-		return nil
+		return s.nthEvictableLocked(0)
 	}
+}
+
+// nthEvictableLocked returns the k-th (from 0, front first) listed
+// frame that is not unlogged, or nil when there are not that many.
+func (s *shard) nthEvictableLocked(k int) *frame {
+	for f := s.lru.Front(); f != nil; f = s.lru.Next(f) {
+		if f.unlogged {
+			continue
+		}
+		if k == 0 {
+			return f
+		}
+		k--
+	}
+	return nil
 }

@@ -117,8 +117,8 @@ func (p *Pool) DropAll() error {
 				s.mu.Unlock()
 				return fmt.Errorf("buffer: drop with pinned page %d", id)
 			}
-			if f.lru != nil {
-				s.lru.Remove(f.lru)
+			if f.next != nil {
+				s.lru.Remove(f)
 			}
 			delete(s.frames, id)
 		}

@@ -20,7 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"corep/internal/buffer"
@@ -93,10 +93,17 @@ type Cache struct {
 
 	// units: hashkey → member OIDs of the cached unit (directory).
 	units map[int64]object.Unit
+	// order: every key of units in ascending order — the ranked victim
+	// index. A seeded draw indexes it directly, so eviction costs one
+	// RNG call instead of collecting and sorting the directory.
+	order []int64
 	// segments: hashkey → number of hash-file entries the value spans.
 	segments map[int64]int
-	// ilocks: subobject OID → hashkeys of cached units containing it.
-	ilocks map[object.OID]map[int64]struct{}
+	// ilocks: subobject OID → hashkeys of cached units containing it, in
+	// insertion order and without duplicates. A subobject sits in a
+	// handful of units, so a slice beats a set and walks in a fixed
+	// order.
+	ilocks map[object.OID][]int64
 
 	stats Stats
 
@@ -131,7 +138,7 @@ func New(pool *buffer.Pool, maxUnits, buckets int, seed int64) (*Cache, error) {
 		rng:      rand.New(rand.NewSource(seed)),
 		units:    make(map[int64]object.Unit),
 		segments: make(map[int64]int),
-		ilocks:   make(map[object.OID]map[int64]struct{}),
+		ilocks:   make(map[object.OID][]int64),
 		wm:       make(map[object.OID]uint64),
 		epochs:   make(map[int64]uint64),
 	}, nil
@@ -236,7 +243,11 @@ func (c *Cache) LookupSnap(u object.Unit, snap uint64) (value []byte, ok bool, e
 			}
 			return nil, false, fmt.Errorf("cache: directory/file mismatch for key %d seg %d: %w", key, i, err)
 		}
-		out = append(out, v...)
+		if i == 0 {
+			out = v // Get already copied it out of the page
+		} else {
+			out = append(out, v...)
+		}
 	}
 	c.stats.Hits++
 	return out, true, nil
@@ -302,13 +313,14 @@ func (c *Cache) insertLocked(u object.Unit, locks []object.OID, value []byte) er
 	c.segments[key] = segs
 	if _, exists := c.units[key]; !exists {
 		c.units[key] = append(object.Unit(nil), locks...)
+		i, _ := slices.BinarySearch(c.order, key)
+		c.order = slices.Insert(c.order, i, key)
 		for _, oid := range locks {
-			locks := c.ilocks[oid]
-			if locks == nil {
-				locks = make(map[int64]struct{})
-				c.ilocks[oid] = locks
+			// The key is new to every list, so a repeated member can
+			// only have appended it last.
+			if l := c.ilocks[oid]; len(l) == 0 || l[len(l)-1] != key {
+				c.ilocks[oid] = append(l, key)
 			}
-			locks[key] = struct{}{}
 		}
 	}
 	c.stats.Inserts++
@@ -331,17 +343,11 @@ func (c *Cache) abortInsert(key int64, written int) {
 	delete(c.segments, key)
 }
 
-// evictOne removes one randomly chosen unit.
+// evictOne removes one randomly chosen unit. The draw indexes the
+// sorted key list, never a map range, so the same seed evicts the same
+// victims run after run.
 func (c *Cache) evictOne() error {
-	// Seed-determinism matters for reproducible experiments: indexing a
-	// map range by rng still inherits the map's randomized iteration
-	// order, so sort the keys before the draw — same seed, same victim.
-	keys := make([]int64, 0, len(c.units))
-	for k := range c.units {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	victim := keys[c.rng.Intn(len(keys))]
+	victim := c.order[c.rng.Intn(len(c.order))]
 	c.stats.Evictions++
 	return c.drop(victim)
 }
@@ -381,14 +387,19 @@ func (c *Cache) drop(key int64) error {
 	}
 	delete(c.segments, key)
 	delete(c.units, key)
+	if i, found := slices.BinarySearch(c.order, key); found {
+		c.order = slices.Delete(c.order, i, i+1)
+	}
 	c.wmMu.Lock()
 	delete(c.epochs, key)
 	c.wmMu.Unlock()
 	for _, oid := range u {
-		if locks := c.ilocks[oid]; locks != nil {
-			delete(locks, key)
-			if len(locks) == 0 {
+		locks := c.ilocks[oid]
+		if i := slices.Index(locks, key); i >= 0 {
+			if len(locks) == 1 {
 				delete(c.ilocks, oid)
+			} else {
+				c.ilocks[oid] = slices.Delete(locks, i, i+1)
 			}
 		}
 	}
@@ -402,18 +413,20 @@ func (c *Cache) drop(key int64) error {
 func (c *Cache) Invalidate(updated object.OID) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	locks := c.ilocks[updated]
-	if len(locks) == 0 {
+	keys := c.ilocks[updated]
+	if len(keys) == 0 {
 		return 0, nil
 	}
 	sp := c.Obs.Start("cache.invalidate")
 	defer sp.End()
-	keys := make([]int64, 0, len(locks))
-	for k := range locks {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
+	// Detach the list first: each drop edits the lists of its unit's
+	// members, and this one must not shift under the walk.
+	delete(c.ilocks, updated)
+	for i, k := range keys {
 		if err := c.drop(k); err != nil {
+			if rest := keys[i+1:]; len(rest) > 0 {
+				c.ilocks[updated] = rest
+			}
 			return 0, err
 		}
 	}
@@ -427,28 +440,38 @@ func (c *Cache) Invalidate(updated object.OID) (int, error) {
 func (c *Cache) Clear() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]int64, 0, len(c.units))
-	for k := range c.units {
-		keys = append(keys, k)
-	}
-	for _, k := range keys {
-		if err := c.drop(k); err != nil {
+	// Drop from the top of the ranked index: each drop removes the last
+	// key, so nothing shifts.
+	for i := len(c.order) - 1; i >= 0; i-- {
+		if err := c.drop(c.order[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// CheckInvariants verifies directory/lock-table consistency: every
-// cached unit's OIDs hold an I-lock on it and vice versa, and the hash
-// file agrees with the directory. Tests call this after randomized
-// workloads.
+// CheckInvariants verifies directory/lock-table consistency: the
+// ranked victim index is the directory's key set in strictly ascending
+// order, every cached unit's OIDs hold an I-lock on it and vice versa,
+// no I-lock list repeats a key, and the hash file agrees with the
+// directory. Tests call this after randomized workloads.
 func (c *Cache) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.order) != len(c.units) {
+		return fmt.Errorf("cache: victim index holds %d keys, directory %d", len(c.order), len(c.units))
+	}
+	for i, key := range c.order {
+		if i > 0 && c.order[i-1] >= key {
+			return fmt.Errorf("cache: victim index not strictly ascending at %d (%d, %d)", i, c.order[i-1], key)
+		}
+		if _, ok := c.units[key]; !ok {
+			return fmt.Errorf("cache: victim index holds dropped unit %d", key)
+		}
+	}
 	for key, u := range c.units {
 		for _, oid := range u {
-			if _, ok := c.ilocks[oid][key]; !ok {
+			if !slices.Contains(c.ilocks[oid], key) {
 				return fmt.Errorf("cache: unit %d member %v missing I-lock", key, oid)
 			}
 		}
@@ -459,7 +482,13 @@ func (c *Cache) CheckInvariants() error {
 		}
 	}
 	for oid, locks := range c.ilocks {
-		for key := range locks {
+		if len(locks) == 0 {
+			return fmt.Errorf("cache: empty I-lock list for %v", oid)
+		}
+		for i, key := range locks {
+			if slices.Contains(locks[:i], key) {
+				return fmt.Errorf("cache: I-lock list of %v repeats unit %d", oid, key)
+			}
 			u, ok := c.units[key]
 			if !ok {
 				return fmt.Errorf("cache: I-lock of %v references dropped unit %d", oid, key)

@@ -92,14 +92,6 @@ func fnv64(key int64) uint64 {
 	return h
 }
 
-// record layout: key int64 | value bytes
-func encodeRec(key int64, value []byte) []byte {
-	rec := make([]byte, 8+len(value))
-	binary.LittleEndian.PutUint64(rec, uint64(key))
-	copy(rec[8:], value)
-	return rec
-}
-
 // Get returns a copy of key's value.
 func (f *File) Get(key int64) ([]byte, error) {
 	id := f.bucketPage(key)
@@ -144,12 +136,17 @@ func (f *File) Contains(key int64) (bool, error) {
 // Put stores value under key, replacing any existing value. Values
 // larger than roughly half a page are rejected.
 func (f *File) Put(key int64, value []byte) error {
-	rec := encodeRec(key, value)
-	if len(rec) > disk.PageSize-128 {
+	if 8+len(value) > disk.PageSize-128 {
 		return fmt.Errorf("hashfile: value of %d bytes too large", len(value))
 	}
+	// record layout: key int64 | value bytes, built on the stack — the
+	// page copies it in.
+	var buf [disk.PageSize]byte
+	rec := buf[:8+len(value)]
+	binary.LittleEndian.PutUint64(rec, uint64(key))
+	copy(rec[8:], value)
 	// Replace semantics: drop any old entry first.
-	if err := f.Delete(key); err != nil && !errors.Is(err, ErrNotFound) {
+	if _, err := f.delete(key); err != nil {
 		return err
 	}
 	id := f.bucketPage(key)
@@ -204,11 +201,21 @@ func (f *File) Put(key int64, value []byte) error {
 // "invalidate all the (cached) units whose I-locks are held by the
 // subobject") is a sequence of Deletes.
 func (f *File) Delete(key int64) error {
+	found, err := f.delete(key)
+	if err == nil && !found {
+		err = fmt.Errorf("%w: %d", ErrNotFound, key)
+	}
+	return err
+}
+
+// delete is Delete reporting a missing key as found=false rather than
+// an error, so Put's replace step builds no error on a fresh key.
+func (f *File) delete(key int64) (found bool, err error) {
 	id := f.bucketPage(key)
 	for id != disk.InvalidPageID {
 		buf, err := f.pool.Pin(id)
 		if err != nil {
-			return err
+			return false, err
 		}
 		pg := storage.Page{Buf: buf}
 		slot := -1
@@ -222,17 +229,17 @@ func (f *File) Delete(key int64) error {
 		if slot >= 0 {
 			if err := pg.Delete(slot); err != nil {
 				f.pool.Unpin(id, false)
-				return err
+				return false, err
 			}
 			f.pool.Unpin(id, true)
 			f.count--
-			return nil
+			return true, nil
 		}
 		next := pg.Next()
 		f.pool.Unpin(id, false)
 		id = next
 	}
-	return fmt.Errorf("%w: %d", ErrNotFound, key)
+	return false, nil
 }
 
 // Scan calls fn for every live entry in bucket order. Values alias the

@@ -171,26 +171,26 @@ func (p Page) RemoveAt(i int) error {
 }
 
 // Compact rewrites the page so that only live records remain, packed at
-// the back, preserving slot order. Splits use this to reclaim space.
+// the back, preserving slot order. Splits and hash-file inserts use this
+// to reclaim space. The old image is copied once to a stack scratch
+// page and the live records are re-inserted from it.
 func (p Page) Compact() {
-	n := p.NumSlots()
-	type ent struct{ rec []byte }
-	live := make([]ent, 0, n)
-	for i := 0; i < n; i++ {
-		off, ln := p.slot(i)
+	var scratch [disk.PageSize]byte
+	old := Page{Buf: scratch[:]}
+	if len(p.Buf) > len(scratch) {
+		old.Buf = make([]byte, len(p.Buf))
+	}
+	old.Buf = old.Buf[:copy(old.Buf, p.Buf)]
+	p.Init(old.Type())
+	p.SetNext(old.Next())
+	p.SetPrev(old.Prev())
+	p.SetAux(old.Aux())
+	for i := 0; i < old.NumSlots(); i++ {
+		off, ln := old.slot(i)
 		if off == 0 {
 			continue
 		}
-		live = append(live, ent{append([]byte(nil), p.Buf[off:off+ln]...)})
-	}
-	t := p.Type()
-	next, prev, aux := p.Next(), p.Prev(), p.Aux()
-	p.Init(t)
-	p.SetNext(next)
-	p.SetPrev(prev)
-	p.SetAux(aux)
-	for _, e := range live {
-		if _, err := p.Insert(e.rec); err != nil {
+		if _, err := p.Insert(old.Buf[off : off+ln]); err != nil {
 			panic("storage: compact overflow") // cannot happen: same records, fresh page
 		}
 	}
@@ -209,9 +209,10 @@ func (p Page) Record(i int) ([]byte, error) {
 	return p.Buf[off : off+ln], nil
 }
 
-// Delete marks slot i dead. The space is not reclaimed (the paper's
-// environment has "no insertions or deletions" during measured runs, so
-// compaction is not on any hot path).
+// Delete marks slot i dead; Compact reclaims the space later. That is
+// a hot path: hashfile.Put compacts a full bucket page before chaining
+// an overflow page, so the outside cache's inserts and invalidation
+// deletes keep compacting its bucket pages.
 func (p Page) Delete(i int) error {
 	if i < 0 || i >= p.NumSlots() {
 		return fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, p.NumSlots())
